@@ -43,13 +43,14 @@ object Csr {
 
   /** Build a CSR from undirected bipartite edge pairs (valueId, attrId). */
   def fromEdges(n: Int, numValues: Int, edges: Iterator[(Int, Int)]): Csr = {
+    require(0 <= numValues && numValues <= n, s"numValues $numValues outside [0, $n]")
     val buf = edges.toArray
+    val adj = new Array[Int](checkedAdjacencySize(buf.length))
     val deg = new Array[Int](n)
     buf.foreach { case (v, a) => deg(v) += 1; deg(a) += 1 }
     val offsets = new Array[Int](n + 1)
     var i = 0
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val adj = new Array[Int](offsets(n))
     val cursor = java.util.Arrays.copyOf(offsets, n)
     buf.foreach { case (v, a) =>
       adj(cursor(v)) = a; cursor(v) += 1
@@ -63,10 +64,19 @@ object Csr {
     }
     Csr(offsets, adj, numValues)
   }
+
+  /** Length of the neighbour array for `numEdges` undirected edges, which
+    * the `Int` offsets must be able to address.
+    */
+  private[core] def checkedAdjacencySize(numEdges: Long): Int = {
+    require(2 * numEdges <= Int.MaxValue,
+      s"$numEdges edges exceed the Int offsets of a CSR (at most ${Int.MaxValue / 2})")
+    (2 * numEdges).toInt
+  }
 }
 
-/** Bridges between the relational [[LakeGraph]], GraphX, and the CSR used
-  * by centrality kernels.
+/** Views of a built [[LakeGraph]]: the CSR the centrality kernels read,
+  * and a GraphX graph kept for cross-checking it.
   */
 object BipartiteGraph {
 
@@ -86,20 +96,8 @@ object BipartiteGraph {
       .mapVertices((id, _) => id < nv)
   }
 
-  /** Collect the (distributed) edge list into a broadcastable CSR.
-    *
-    * The graph topology is compact even when the lake is large (the paper's
-    * biggest graph has 2.3M edges); centrality kernels then parallelise
-    * over BFS sources with Spark while sharing the topology via broadcast.
-    * Edges are routed through GraphX so the same object drives both the
-    * distributed graph view and the in-memory kernels.
+  /** The CSR built with the graph; the topology already sits on the driver,
+    * and the centrality kernels broadcast it.
     */
-  def toCsr(g: LakeGraph): Csr = {
-    val n = g.numNodes.toInt
-    val nv = g.numValues.toInt
-    val edgePairs = toGraphX(g).edges
-      .map(e => (e.srcId.toInt, e.dstId.toInt))
-      .collect()
-    Csr.fromEdges(n, nv, edgePairs.iterator)
-  }
+  def toCsr(g: LakeGraph): Csr = g.csr
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.lake.DataLake
 
 /** End-to-end DomainNet pipeline (paper §3.4):
@@ -23,18 +22,36 @@ object DomainNet {
   /** Bipartite local clustering coefficient. */
   case object LCC extends Measure
 
-  /** A scored lake: graph + per-value scores joined back to value strings.
+  /** A scored lake: graph + per-value scores, ranked on the driver.
     *
-    * @param scores DataFrame `(value, valueId, score, rank)` where rank 1
-    *               is the strongest homograph candidate
+    * @param valueScores score per value id
+    * @param ranking     value ids, strongest homograph candidate first
     */
-  final case class Result(graph: LakeGraph, csr: Csr, scores: DataFrame) {
+  final case class Result(graph: LakeGraph, csr: Csr, valueScores: Array[Double], ranking: Array[Int]) {
 
     /** Top-k candidate value strings, strongest first. */
-    def topK(k: Int): Seq[String] = {
-      import scores.sparkSession.implicits._
-      scores.orderBy("rank").limit(k).select("value").as[String].collect().toSeq
+    def topK(k: Int): Seq[String] = ranking.take(k).map(graph.valueNames).toSeq
+
+    /** DataFrame `(value, valueId, score, rank)` where rank 1 is the
+      * strongest homograph candidate.
+      */
+    lazy val scores: DataFrame = {
+      import graph.spark.implicits._
+      ranking.toSeq.zipWithIndex
+        .map { case (id, r) => (graph.valueNames(id), id.toLong, valueScores(id), r + 1L) }
+        .toDF("value", "valueId", "score", "rank")
     }
+  }
+
+  /** Value ids `[0, n)` ordered by `scores` (descending, or ascending when
+    * `ascending`), ties broken by ascending id. The one ranking rule of the
+    * pipeline and the experiment drivers.
+    */
+  def rankIds(scores: Array[Double], n: Int, ascending: Boolean): Array[Int] = {
+    val byScore: Ordering[Int] =
+      if (ascending) (a, b) => java.lang.Double.compare(scores(a), scores(b))
+      else (a, b) => java.lang.Double.compare(scores(b), scores(a))
+    Array.range(0, n).sorted(byScore.orElse(Ordering.Int))
   }
 
   /** Build the graph and score every value node with `measure`. */
@@ -48,7 +65,6 @@ object DomainNet {
     * measures, as the benches do).
     */
   def score(spark: SparkSession, graph: LakeGraph, csr: Csr, measure: Measure): Result = {
-    val nv = csr.numValues
     val (rawScores, ascending) = measure match {
       case ExactBC            => (Betweenness.exact(spark, csr, normalized = true), false)
       case ApproxBC(s, seed)  => (Betweenness.approximate(spark, csr, s, seed, normalized = true), false)
@@ -58,19 +74,7 @@ object DomainNet {
     // order follows task completion; round away the resulting float noise
     // (all scores here are normalized to [0, 1]) so that genuinely tied
     // nodes always fall back to the valueId tie-break deterministically.
-    val raw = rawScores.map(s => math.rint(s * 1e9) / 1e9)
-    import spark.implicits._
-    val valueScores = (0 until nv).map(i => (i.toLong, raw(i))).toDF("valueId", "score")
-    val ordered =
-      if (ascending) valueScores.orderBy(col("score").asc, col("valueId").asc)
-      else valueScores.orderBy(col("score").desc, col("valueId").asc)
-    // Deterministic dense ranking via zipWithIndex (no single-partition window).
-    val ranked = ordered
-      .as[(Long, Double)]
-      .rdd
-      .zipWithIndex()
-      .map { case ((id, s), r) => (id, s, r + 1) }
-      .toDF("valueId", "score", "rank")
-    Result(graph, csr, ranked.join(graph.values, "valueId").select("value", "valueId", "score", "rank"))
+    val rounded = Array.tabulate(csr.numValues)(i => math.rint(rawScores(i) * 1e9) / 1e9)
+    Result(graph, csr, rounded, rankIds(rounded, csr.numValues, ascending))
   }
 }

@@ -12,21 +12,16 @@ import repro.lake.DataLake
   */
 object Experiments {
 
-  /** Collect the value-id -> string mapping of a graph. */
-  def valueStrings(graph: LakeGraph): Array[String] = {
-    import graph.values.sparkSession.implicits._
-    val arr = new Array[String](graph.numValues.toInt)
-    graph.values.as[(String, Long)].collect().foreach { case (v, id) => arr(id.toInt) = v }
-    arr
-  }
+  /** The value-id -> string mapping of a graph. */
+  def valueStrings(graph: LakeGraph): Array[String] = graph.valueNames
 
   /** Rank value strings by score (descending). Deterministic tie-break by id. */
   def rankDescending(scores: Array[Double], names: Array[String]): Seq[String] =
-    names.indices.sortBy(i => (-scores(i), i)).map(names)
+    DomainNet.rankIds(scores, names.length, ascending = false).map(names).toSeq
 
   /** Rank value strings by score (ascending, for LCC). */
   def rankAscending(scores: Array[Double], names: Array[String]): Seq[String] =
-    names.indices.sortBy(i => (scores(i), i)).map(names)
+    DomainNet.rankIds(scores, names.length, ascending = true).map(names).toSeq
 
   // ------------------------------------------------------------------
   // SB: BC vs LCC vs D4 (paper §5.1, Figures 5-6 and the 69% / 38% claim)

@@ -23,6 +23,12 @@ class CsrSpec extends AnyFunSuite {
     (0 until 4).foreach(v => assert(csr.degree(v) === 0))
   }
 
+  test("edge counts beyond the Int offsets fail loudly") {
+    assert(Csr.checkedAdjacencySize(Int.MaxValue / 2) === Int.MaxValue - 1)
+    intercept[IllegalArgumentException](Csr.checkedAdjacencySize(Int.MaxValue / 2 + 1))
+    intercept[IllegalArgumentException](Csr.fromEdges(2, 3, Iterator.empty))
+  }
+
   test("foreachNeighbor visits exactly the adjacency list") {
     val csr = csrOf(4, Seq(Seq(0, 1), Seq(1, 2, 3)))
     var seen = List.empty[Int]

@@ -55,4 +55,44 @@ class DomainNetSpec extends SparkSpec {
     val viaRun = DomainNet.run(spark, lake, DomainNet.ExactBC).topK(5)
     assert(viaScore === viaRun)
   }
+
+  private val measures = Seq(DomainNet.ExactBC, DomainNet.ApproxBC(numSamples = 5, seed = 1), DomainNet.LCC)
+
+  test("an all-singleton lake has no value nodes and empty rankings") {
+    val singletons = DataLake.ofColumns(spark, "T.a" -> Seq("x", "y"), "U.b" -> Seq("z", "w"))
+    measures.foreach { m =>
+      val res = DomainNet.run(spark, singletons, m)
+      assert(res.graph.numValues === 0 && res.graph.numAttrs === 0 && res.csr.numNodes === 0, m.toString)
+      assert(res.topK(3).isEmpty, m.toString)
+      assert(res.scores.count() === 0, m.toString)
+    }
+  }
+
+  test("a single-attribute lake ranks its tied values by id") {
+    val oneColumn = DataLake.ofColumns(spark, "T.a" -> Seq("y", "x", "y", "x", "z"))
+    measures.foreach { m =>
+      assert(DomainNet.run(spark, oneColumn, m).topK(5) === Seq("X", "Y"), m.toString)
+    }
+  }
+
+  test("rankIds orders by score, then by ascending id") {
+    val rnd = new scala.util.Random(11)
+    val scores = Array.fill(200)(rnd.nextInt(8) / 4.0)
+    assert(DomainNet.rankIds(scores, 200, ascending = false).toSeq ===
+      scores.indices.sortBy(i => (-scores(i), i)))
+    assert(DomainNet.rankIds(scores, 200, ascending = true).toSeq ===
+      scores.indices.sortBy(i => (scores(i), i)))
+    assert(DomainNet.rankIds(scores, 3, ascending = true).sorted.toSeq === Seq(0, 1, 2))
+  }
+
+  test("scores DataFrame lists the ranking with rounded scores") {
+    val res = DomainNet.run(spark, lake, DomainNet.LCC)
+    import spark.implicits._
+    val rows = res.scores.as[(String, Long, Double, Long)].collect().sortBy(_._4)
+    assert(rows.map(_._1).toSeq === res.topK(rows.length))
+    rows.foreach { case (v, id, s, _) =>
+      assert(res.graph.valueNames(id.toInt) === v)
+      assert(s === res.valueScores(id.toInt))
+    }
+  }
 }

@@ -30,6 +30,21 @@ class LakeGraphSpec extends SparkSpec {
     assert(g.numEdges === 4)
   }
 
+  test("cell counts and edges merge across partitions") {
+    import spark.implicits._
+    // One cell per partition, so X's and Y's cells land in different tasks;
+    // Y survives pruning only if its two cells are counted together.
+    val cells = Seq("T.a" -> "x", "T.b" -> "y", "T.a" -> "x", "T.b" -> "x", "T.c" -> "y", "T.c" -> "z")
+    val lake = DataLake(spark.sparkContext.parallelize(cells, cells.size).toDF("attribute", "value"), 1)
+    val g = LakeGraph.build(lake)
+    assert(g.valueNames.toSeq === Seq("X", "Y"))
+    assert(g.attrNames.toSeq === Seq("T.a", "T.b", "T.c"))
+    // X: T.a (two cells, one edge) and T.b; Y: T.b and T.c
+    assert(g.numEdges === 4)
+    assert(g.csr.neighborsOf(0).toSeq === Seq(2, 3))
+    assert(g.csr.neighborsOf(1).toSeq === Seq(3, 4))
+  }
+
   test("node ids are contiguous and bipartite-partitioned") {
     import spark.implicits._
     val g = LakeGraph.build(smallLake)
@@ -112,5 +127,32 @@ class LakeGraphSpec extends SparkSpec {
     gx.vertices.collect().foreach { case (id, isValue) =>
       assert(isValue === (id < g.numValues))
     }
+  }
+
+  test("value ids follow Spark's string order, not Java's UTF-16 order") {
+    import spark.implicits._
+    val lake = DataLake.ofColumns(spark,
+      "T.a" -> Seq("b", "\uFF21", "\uD83D\uDE00", "a"),   // Ａ (U+FF21), 😀 (U+1F600)
+      "U.b" -> Seq("\uD83D\uDE00", "a", "\uFF21", "b"))
+    val g = LakeGraph.build(lake)
+    val sparkOrder = LakeGraph.normalizedCells(lake).select("value").distinct().orderBy("value")
+      .as[String].collect().toSeq
+    assert(sparkOrder === Seq("A", "B", "\uFF21", "\uD83D\uDE00"))
+    assert(g.valueNames.toSeq === sparkOrder)
+    assert(g.values.as[(String, Long)].collect().sortBy(_._2).map(_._1).toSeq === sparkOrder)
+    assert(sparkOrder.sorted !== sparkOrder) // Java's order differs here
+  }
+
+  test("a single-attribute lake builds a star") {
+    val g = LakeGraph.build(DataLake.ofColumns(spark, "T.a" -> Seq("x", "y", "x", "y", "z")))
+    assert(g.valueNames.toSeq === Seq("X", "Y"))
+    assert(g.attrNames.toSeq === Seq("T.a"))
+    assert(g.csr.neighborsOf(2).toSeq === Seq(0, 1))
+  }
+
+  test("node counts beyond the Int id space fail loudly") {
+    assert(LakeGraph.checkedNodeCount(3, 4) === 7)
+    val e = intercept[IllegalArgumentException](LakeGraph.checkedNodeCount(Int.MaxValue.toLong, 1))
+    assert(e.getMessage.contains("Int node id space"))
   }
 }
